@@ -12,7 +12,7 @@ void add_common_flags(util::CliParser& cli) {
   cli.add_flag("attack-samples", "malware programs attacked per measurement", "100");
   cli.add_flag("repeats", "repeats for mean/std aggregation", "5");
   cli.add_flag("rotations", "3-fold cross-validation rotations to run (1..3)", "3");
-  cli.add_flag("workers", "batch-runtime worker threads (0 = all cores)", "0");
+  cli.add_flag("workers", "scoring-service worker threads (0 = all cores)", "0");
   cli.add_flag("seed", "master seed for the corpus", "12648430");  // 0xC0FFEE
   cli.add_flag("csv", "write the result table to this CSV file", "");
   cli.add_bool("paper-scale", "use the paper's full 3000/600 corpus and 50 repeats");

@@ -29,9 +29,8 @@ struct BenchConfig {
   int repeats = 5;
   /// 3-fold CV rotations to run (paper: all 3).
   int rotations = 3;
-  /// Worker threads for the batch inference runtime (0 = all cores).
-  /// Scores are bit-reproducible per (seed, workers) pair; pin this when
-  /// comparing CSVs across machines.
+  /// Scoring-service worker threads (0 = all cores). Scores depend on the
+  /// seed only, never on the worker count.
   std::size_t workers = 0;
   std::optional<std::string> csv_path;
 };

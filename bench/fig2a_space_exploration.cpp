@@ -3,17 +3,17 @@
 // deviation over repeated runs and 3-fold cross-validation (the paper
 // repeats each experiment 50 times; --repeats / --paper-scale control it).
 //
-// The er x repeats x folds sweep runs through the batch inference runtime:
-// each rotation's testing fold is scored as one batch across --workers
-// threads, with per-worker jump()-derived fault streams keeping the sweep
-// reproducible for a fixed (seed, workers) pair.
+// The er x repeats x folds sweep runs through the scoring service: each
+// rotation's testing fold is one detect_all() round across --workers
+// threads. Every request's fault stream is anchored to its admission
+// order, so the sweep reproduces for a fixed seed under any worker count.
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "common.hpp"
 #include "eval/metrics.hpp"
-#include "runtime/batch_scorer.hpp"
+#include "serve/scoring_service.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -30,8 +30,8 @@ int run(const bench::BenchConfig& cfg) {
               cfg.dataset.corpus.n_benign);
 
   // One trained detector per CV rotation; the error-rate sweep reuses it
-  // (the defense never retrains — §III). Each rotation also gets a batch
-  // scorer over its testing fold and the truth labels for that fold.
+  // (the defense never retrains — §III). Each rotation also gets a scoring
+  // service over its testing fold and the truth labels for that fold.
   std::vector<trace::FoldSplit> fold_splits;
   std::vector<hmd::StochasticHmd> detectors;
   for (int rotation = 0; rotation < cfg.rotations; ++rotation) {
@@ -39,15 +39,15 @@ int run(const bench::BenchConfig& cfg) {
     detectors.push_back(hmd::make_stochastic(ds, fold_splits.back().victim_training, fc, 0.0,
                                              cfg.train));
   }
-  std::vector<std::unique_ptr<runtime::BatchScorer>> scorers;
+  std::vector<std::unique_ptr<serve::ScoringService>> services;
   std::vector<std::vector<const trace::FeatureSet*>> batches;
   std::vector<std::vector<bool>> truths;
   for (int rotation = 0; rotation < cfg.rotations; ++rotation) {
-    runtime::RuntimeConfig rt;
-    rt.num_workers = cfg.workers;
-    rt.seed = 0xF16A2ULL + static_cast<std::uint64_t>(rotation);
-    scorers.push_back(std::make_unique<runtime::BatchScorer>(
-        detectors[static_cast<std::size_t>(rotation)], rt));
+    serve::ServeConfig config;
+    config.num_workers = cfg.workers;
+    config.seed = 0xF16A2ULL + static_cast<std::uint64_t>(rotation);
+    services.push_back(std::make_unique<serve::ScoringService>(
+        serve::make_epoch(detectors[static_cast<std::size_t>(rotation)]), config));
     std::vector<const trace::FeatureSet*> batch;
     std::vector<bool> truth;
     for (std::size_t idx : fold_splits[static_cast<std::size_t>(rotation)].testing) {
@@ -57,7 +57,7 @@ int run(const bench::BenchConfig& cfg) {
     batches.push_back(std::move(batch));
     truths.push_back(std::move(truth));
   }
-  std::printf("batch runtime: %zu workers per rotation\n\n", scorers.front()->num_workers());
+  std::printf("scoring service: %zu workers per rotation\n\n", services.front()->num_workers());
 
   util::Table table({"er", "accuracy", "acc std", "FPR", "FNR", "accuracy bar"});
   for (double er = 0.0; er <= 1.0001; er += 0.1) {
@@ -67,8 +67,9 @@ int run(const bench::BenchConfig& cfg) {
     for (int rotation = 0; rotation < cfg.rotations; ++rotation) {
       const auto r = static_cast<std::size_t>(rotation);
       detectors[r].set_error_rate(er);
+      (void)services[r]->install_epoch(serve::make_epoch(detectors[r]));
       for (int rep = 0; rep < cfg.repeats; ++rep) {
-        const std::vector<bool> verdicts = scorers[r]->detect_batch(batches[r]);
+        const std::vector<bool> verdicts = services[r]->detect_all(batches[r]);
         eval::ConfusionMatrix cm;
         for (std::size_t i = 0; i < verdicts.size(); ++i) cm.add(truths[r][i], verdicts[i]);
         acc_stats.add(cm.accuracy());

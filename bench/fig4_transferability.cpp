@@ -11,7 +11,7 @@
 #include "attack/transferability.hpp"
 #include "eval/metrics.hpp"
 #include "hmd/space_exploration.hpp"
-#include "runtime/batch_scorer.hpp"
+#include "serve/scoring_service.hpp"
 
 namespace {
 
@@ -56,16 +56,16 @@ int run(const bench::BenchConfig& cfg, double er) {
     hmd::StochasticHmd stochastic(baseline.network(), fc, rotation_er);
 
     // Context line for the attack numbers below: the stochastic victim's
-    // live accuracy on the testing fold, scored as one batch across the
-    // runtime's workers (per-worker jump()-derived fault streams).
+    // live accuracy on the testing fold, scored as one detect_all() round
+    // across the scoring service's workers.
     {
-      runtime::RuntimeConfig rt;
-      rt.num_workers = cfg.workers;
-      rt.seed = 0xF164ULL + static_cast<std::uint64_t>(rotation);
-      runtime::BatchScorer scorer(stochastic, rt);
+      serve::ServeConfig config;
+      config.num_workers = cfg.workers;
+      config.seed = 0xF164ULL + static_cast<std::uint64_t>(rotation);
+      serve::ScoringService service(serve::make_epoch(stochastic), config);
       std::vector<const trace::FeatureSet*> test_batch;
       for (std::size_t idx : folds.testing) test_batch.push_back(&ds.samples()[idx].features);
-      const std::vector<bool> verdicts = scorer.detect_batch(test_batch);
+      const std::vector<bool> verdicts = service.detect_all(test_batch);
       eval::ConfusionMatrix cm;
       for (std::size_t i = 0; i < verdicts.size(); ++i) {
         cm.add(ds.samples()[folds.testing[i]].malware(), verdicts[i]);
@@ -73,7 +73,7 @@ int run(const bench::BenchConfig& cfg, double er) {
       std::printf("rotation %d: stochastic victim live accuracy %.1f%% on %zu test programs "
                   "(er=%.2f, %zu workers)\n",
                   rotation, 100.0 * cm.accuracy(), test_batch.size(), rotation_er,
-                  scorer.num_workers());
+                  service.num_workers());
     }
 
     const std::vector<std::size_t> targets =

@@ -6,15 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include "faultsim/fault_injector.hpp"
-#include "hmd/stochastic_hmd.hpp"
 #include "nn/arithmetic.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/network.hpp"
 #include "rng/lgm_prng.hpp"
 #include "rng/trng_sim.hpp"
 #include "rng/xoshiro256ss.hpp"
-#include "runtime/batch_scorer.hpp"
-#include "trace/dataset.hpp"
 #include "trace/features.hpp"
 #include "trace/program.hpp"
 
@@ -112,38 +109,6 @@ void BM_ForwardBatchFaulty(benchmark::State& state) {
                           static_cast<std::int64_t>(net.mac_count()));
 }
 BENCHMARK(BM_ForwardBatchFaulty)->Arg(1)->Arg(4)->Arg(16);
-
-std::vector<trace::FeatureSet> make_batch(std::size_t n_programs,
-                                          std::size_t windows_per_program) {
-  const trace::FeatureConfig fc{trace::FeatureView::kInsnCategory, 2048};
-  rng::Xoshiro256ss gen(7);
-  std::vector<trace::FeatureSet> batch(n_programs);
-  for (trace::FeatureSet& fs : batch) {
-    std::vector<std::vector<double>> windows(windows_per_program, std::vector<double>(16));
-    for (auto& window : windows) {
-      for (double& x : window) x = gen.uniform01();
-    }
-    fs.put(fc, std::move(windows));
-  }
-  return batch;
-}
-
-void BM_BatchInference(benchmark::State& state) {
-  // Thread sweep over the batch runtime: 256 programs x 16 windows on the
-  // seed 16-32-16-1 topology at er=0.1. Throughput should scale with the
-  // worker count up to the physical core count.
-  const trace::FeatureConfig fc{trace::FeatureView::kInsnCategory, 2048};
-  hmd::StochasticHmd hmd(make_net(), fc, 0.1);
-  runtime::RuntimeConfig rt;
-  rt.num_workers = static_cast<std::size_t>(state.range(0));
-  rt.seed = 42;
-  runtime::BatchScorer scorer(hmd, rt);
-  const std::vector<trace::FeatureSet> batch = make_batch(256, 16);
-  for (auto _ : state) benchmark::DoNotOptimize(scorer.score_batch(batch));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256 * 16 *
-                          static_cast<std::int64_t>(hmd.network().mac_count()));
-}
-BENCHMARK(BM_BatchInference)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // ------------------------------------------------------- raw dot() kernels
 //

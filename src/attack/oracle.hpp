@@ -23,10 +23,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "faultsim/fault_injector.hpp"
 #include "hmd/detector.hpp"
+#include "hmd/program_scorer.hpp"
 #include "hmd/stochastic_hmd.hpp"
-#include "nn/arithmetic.hpp"
 #include "nn/network.hpp"
 #include "trace/dataset.hpp"
 
@@ -133,13 +132,12 @@ class DetectorOracle final : public QueryOracle {
 /// Request-anchored replica of the scoring service, decision-only.
 ///
 /// Scores the k-th query exactly as serve::ScoringService scores the
-/// k-th accepted request for the same base seed: private FaultInjector
-/// re-seeded from rng::stream_seed(seed, k) before each forward pass,
-/// batch-of-one tile through Network::forward_batch, fraction-vote
-/// verdict at the epoch threshold. A campaign against this oracle is
-/// therefore bit-identical to the same campaign against a freshly
-/// started daemon over the wire — the property tests/redteam_test.cpp
-/// and the CI attack-smoke job pin down.
+/// k-th accepted request for the same base seed: both call
+/// hmd::ProgramScorer at (seed, k) and vote at the epoch threshold. A
+/// program the scorer rejects (window width mismatch) consumes no k. A
+/// campaign against this oracle is therefore bit-identical to the same
+/// campaign against a freshly started daemon over the wire — the
+/// property tests/redteam_test.cpp and the CI attack-smoke job pin down.
 ///
 /// install_error_rate() is the in-process analogue of
 /// ScoringService::install_epoch: it moves the boundary and stamps the
@@ -155,7 +153,7 @@ class InProcessOracle final : public QueryOracle {
   /// (initial point is epoch 1, mirroring install_epoch).
   std::uint64_t install_error_rate(double error_rate);
   [[nodiscard]] std::uint64_t epoch_id() const noexcept { return epoch_id_; }
-  [[nodiscard]] double error_rate() const noexcept { return injector_.error_rate(); }
+  [[nodiscard]] double error_rate() const noexcept { return scorer_.injector().error_rate(); }
 
  protected:
   [[nodiscard]] OracleReply do_query(const trace::FeatureSet& features) override;
@@ -163,12 +161,10 @@ class InProcessOracle final : public QueryOracle {
  private:
   nn::Network net_;
   trace::FeatureConfig config_;
-  faultsim::FaultInjector injector_;
-  nn::ForwardScratch scratch_;
-  std::vector<double> tile_;  ///< reused windows-major flatten buffer
+  hmd::ProgramScorer scorer_;
+  std::vector<double> scores_;  ///< reused per-query score buffer
   double threshold_;
   double vote_fraction_;
-  std::uint64_t seed_;
   std::uint64_t next_seq_ = 0;  ///< admission counter (queue stamps from 0)
   std::uint64_t epoch_id_ = 1;
 };

@@ -53,10 +53,6 @@ Rhmd::Rhmd(std::string name, std::vector<Base> bases, std::uint64_t switch_seed)
   }
 }
 
-void Rhmd::jump_switch_stream(std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) switch_gen_.jump();
-}
-
 double Rhmd::base_epoch_score(const Base& b, const trace::FeatureSet& features,
                               std::size_t epoch) const {
   const auto& windows = features.windows(b.config);

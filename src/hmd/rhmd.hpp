@@ -55,12 +55,6 @@ class Rhmd final : public Detector {
   [[nodiscard]] const Base& base(std::size_t i) const { return bases_.at(i); }
   [[nodiscard]] std::size_t epoch_period() const noexcept { return epoch_period_; }
 
-  /// Advance the epoch-switch RNG by `n` jump() steps (each skips 2^128
-  /// draws). The batch runtime copies this detector per worker and jumps
-  /// each replica a distinct number of times, giving the replicas
-  /// non-overlapping switching streams.
-  void jump_switch_stream(std::size_t n) noexcept;
-
  private:
   /// Score of base `b` over epoch `epoch` (averaging nested windows).
   [[nodiscard]] double base_epoch_score(const Base& b, const trace::FeatureSet& features,

@@ -27,7 +27,10 @@ struct SpaceExplorationOptions {
   /// Candidate error rates, swept in order; the deepest admissible wins.
   std::vector<double> candidates = {0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5};
   /// Stochastic repeats per candidate (accuracy is a random variable).
-  int repeats = 3;
+  /// Eight keep the pick steady when a candidate's loss sits near the
+  /// budget: on the examples' corpora er = 0.05 costs ~1.6% against the
+  /// 2% budget, within the noise of a few repeats.
+  int repeats = 8;
   std::uint64_t noise_seed = 0x5E1EC7ULL;
 };
 

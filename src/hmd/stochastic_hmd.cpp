@@ -30,7 +30,7 @@ StochasticHmd::StochasticHmd(nn::Network net, trace::FeatureConfig config, doubl
                              std::uint64_t noise_seed)
     : net_(std::move(net)),
       config_(config),
-      injector_(error_rate, distribution, noise_seed) {}
+      scorer_(error_rate, distribution, noise_seed) {}
 
 void StochasticHmd::attach_domain(volt::VoltageDomain& domain, double offset_mv,
                                   std::optional<std::uint64_t> token) {
@@ -45,43 +45,37 @@ void StochasticHmd::detach_domain() noexcept {
   token_.reset();
 }
 
-void StochasticHmd::set_error_rate(double er) { injector_.set_error_rate(er); }
+void StochasticHmd::set_error_rate(double er) { scorer_.injector().set_error_rate(er); }
+
+void StochasticHmd::score_live(std::span<const std::vector<double>> windows,
+                               std::vector<double>& scores) {
+  // Deployment path: undervolt for exactly the duration of this detection
+  // burst (TEE enter/exit semantics), with the error rate derived from the
+  // physical operating point — and the configured direct-er rate restored
+  // when the burst ends. Declaration order makes the guard restore the
+  // rail before the restorer resets the rate.
+  std::optional<ErrorRateRestorer> restore;
+  std::optional<volt::UndervoltGuard> undervolt;
+  if (domain_ != nullptr) {
+    restore.emplace(scorer_.injector());
+    undervolt.emplace(*domain_, offset_mv_, token_);
+    scorer_.injector().set_error_rate(domain_->error_rate());
+  }
+  (void)scorer_.score(net_, windows, next_seq_, scores);
+  ++next_seq_;  // a rejected program consumes no stream
+  fault_stats_.merge(scorer_.injector().stats());
+}
 
 std::vector<double> StochasticHmd::window_scores(const trace::FeatureSet& features) {
   std::vector<double> scores;
-  nn::FaultyContext faulty(injector_);
-  if (domain_ != nullptr) {
-    // Deployment path: undervolt for exactly the duration of this
-    // detection burst (TEE enter/exit semantics), with the error rate
-    // derived from the physical operating point — and the configured
-    // direct-er rate restored when the burst ends.
-    const ErrorRateRestorer restore(injector_);
-    volt::UndervoltGuard guard(*domain_, offset_mv_, token_);
-    injector_.set_error_rate(domain_->error_rate());
-    const auto& windows = features.windows(config_);
-    scores.reserve(windows.size());
-    for (const std::vector<double>& window : windows) {
-      scores.push_back(net_.forward(window, faulty, scratch_)[0]);
-    }
-    return scores;  // guard restores nominal voltage here
-  }
-  const auto& windows = features.windows(config_);
-  scores.reserve(windows.size());
-  for (const std::vector<double>& window : windows) {
-    scores.push_back(net_.forward(window, faulty, scratch_)[0]);
-  }
+  score_live(features.windows(config_), scores);
   return scores;
 }
 
 double StochasticHmd::score_window(std::span<const double> window) {
-  nn::FaultyContext faulty(injector_);
-  if (domain_ != nullptr) {
-    const ErrorRateRestorer restore(injector_);
-    volt::UndervoltGuard guard(*domain_, offset_mv_, token_);
-    injector_.set_error_rate(domain_->error_rate());
-    return net_.forward(window, faulty, scratch_)[0];
-  }
-  return net_.forward(window, faulty, scratch_)[0];
+  one_window_.front().assign(window.begin(), window.end());
+  score_live(one_window_, one_score_);
+  return one_score_.front();
 }
 
 std::vector<double> StochasticHmd::window_scores_nominal(

@@ -6,6 +6,11 @@
 // boundary time-variant — a moving-target defense implemented purely in
 // the supply voltage.
 //
+// Every live score goes through hmd::ProgramScorer: the n-th scoring call
+// (window_scores or score_window) runs under fault stream
+// (noise_seed, n), the same seeding rule the scoring service applies to
+// its n-th accepted request.
+//
 // Two operating modes:
 //   * direct error rate  — the paper's space-exploration knob (§VI): er is
 //     set explicitly on the injector;
@@ -17,11 +22,14 @@
 //     enter/exit pattern of §IX).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "faultsim/fault_injector.hpp"
 #include "hmd/detector.hpp"
-#include "nn/arithmetic.hpp"
+#include "hmd/program_scorer.hpp"
 #include "nn/network.hpp"
 #include "volt/voltage_domain.hpp"
 
@@ -46,7 +54,7 @@ class StochasticHmd final : public Detector {
 
   /// Space-exploration knob (only meaningful in direct-er mode).
   void set_error_rate(double er);
-  [[nodiscard]] double error_rate() const noexcept { return injector_.error_rate(); }
+  [[nodiscard]] double error_rate() const noexcept { return scorer_.injector().error_rate(); }
 
   [[nodiscard]] std::vector<double> window_scores(const trace::FeatureSet& features) override;
 
@@ -60,20 +68,28 @@ class StochasticHmd final : public Detector {
 
   [[nodiscard]] const nn::Network& network() const noexcept { return net_; }
   [[nodiscard]] trace::FeatureConfig feature_config() const noexcept { return config_; }
+  /// Faults injected by every scoring call so far, summed.
   [[nodiscard]] const faultsim::FaultStats& fault_stats() const noexcept {
-    return injector_.stats();
+    return fault_stats_;
   }
-  /// Bit-location distribution of the injected faults (the batch runtime
-  /// replicates it into its per-worker injectors).
+  /// Bit-location distribution of the injected faults (serve::make_epoch
+  /// copies it into the service's epoch).
   [[nodiscard]] const faultsim::BitFaultDistribution& fault_distribution() const noexcept {
-    return injector_.distribution();
+    return scorer_.injector().distribution();
   }
 
  private:
+  /// Score `windows` under the next fault stream, inside the undervolt
+  /// window when voltage-driven.
+  void score_live(std::span<const std::vector<double>> windows, std::vector<double>& scores);
+
   nn::Network net_;
   trace::FeatureConfig config_;
-  faultsim::FaultInjector injector_;
-  nn::ForwardScratch scratch_;  ///< reused activations: zero-alloc hot loop
+  ProgramScorer scorer_;
+  std::uint64_t next_seq_ = 0;  ///< scoring calls so far: the next stream index
+  faultsim::FaultStats fault_stats_;
+  std::vector<std::vector<double>> one_window_{1};  ///< score_window's program
+  std::vector<double> one_score_;
   volt::VoltageDomain* domain_ = nullptr;
   double offset_mv_ = 0.0;
   std::optional<std::uint64_t> token_;

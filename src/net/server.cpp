@@ -4,20 +4,17 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "admit/token_bucket.hpp"
@@ -51,9 +48,8 @@ in_addr_t resolve_ipv4(const std::string& host) {
 
 // -- Poller -----------------------------------------------------------------
 
-/// Readiness multiplexer: epoll where available, poll() everywhere. Both
-/// backends present identical semantics so the reactor is backend-blind
-/// and the test suite can force the fallback (NetServerConfig::force_poll).
+/// Readiness multiplexer over epoll (level-triggered). src/net targets
+/// Linux only, so there is no portable fallback.
 class NetServer::Poller {
  public:
   struct Event {
@@ -63,17 +59,11 @@ class NetServer::Poller {
     bool hangup = false;
   };
 
-  explicit Poller(bool force_poll) {
-#ifdef __linux__
-    if (!force_poll) epfd_ = ::epoll_create1(EPOLL_CLOEXEC);  // < 0 => poll() fallback
-#else
-    (void)force_poll;
-#endif
+  Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+    if (epfd_ < 0) throw std::runtime_error(errno_text("NetServer: epoll_create1()"));
   }
 
-  ~Poller() {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
+  ~Poller() { ::close(epfd_); }
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
@@ -83,80 +73,42 @@ class NetServer::Poller {
   /// an unregistered fd would never be polled again, so the caller must
   /// close it rather than leave the connection hanging silently.
   [[nodiscard]] bool set(int fd, bool read, bool write) {
-    const auto it = interest_.find(fd);
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = (read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
-                  (write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-      ev.data.fd = fd;
-      if (::epoll_ctl(epfd_, it == interest_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd,
-                      &ev) != 0) {
-        return false;
-      }
+    const bool registered = registered_.contains(fd);
+    epoll_event ev{};
+    ev.events = (read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
+                (write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+    ev.data.fd = fd;
+    if (::epoll_ctl(epfd_, registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return false;
     }
-#endif
-    const short mask = static_cast<short>((read ? 1 : 0) | (write ? 2 : 0));
-    if (it == interest_.end()) {
-      interest_.emplace(fd, mask);
-    } else {
-      it->second = mask;
-    }
+    registered_.insert(fd);
     return true;
   }
 
   void remove(int fd) {
-#ifdef __linux__
-    if (epfd_ >= 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-    interest_.erase(fd);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+    registered_.erase(fd);
   }
 
   const std::vector<Event>& wait(int timeout_ms) {
     events_.clear();
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event raw[64];
-      const int n = ::epoll_wait(epfd_, raw, 64, timeout_ms);
-      for (int i = 0; i < n; ++i) {
-        Event ev;
-        ev.fd = raw[i].data.fd;
-        ev.readable = (raw[i].events & EPOLLIN) != 0;
-        ev.writable = (raw[i].events & EPOLLOUT) != 0;
-        ev.hangup = (raw[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-        events_.push_back(ev);
-      }
-      return events_;
-    }
-#endif
-    pollfds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(((mask & 1) != 0 ? POLLIN : 0) |
-                                    ((mask & 2) != 0 ? POLLOUT : 0));
-      pollfds_.push_back(p);
-    }
-    const int n = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
-    if (n > 0) {
-      for (const pollfd& p : pollfds_) {
-        if (p.revents == 0) continue;
-        Event ev;
-        ev.fd = p.fd;
-        ev.readable = (p.revents & POLLIN) != 0;
-        ev.writable = (p.revents & POLLOUT) != 0;
-        ev.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-        events_.push_back(ev);
-      }
+    epoll_event raw[64];
+    const int n = ::epoll_wait(epfd_, raw, 64, timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      Event ev;
+      ev.fd = raw[i].data.fd;
+      ev.readable = (raw[i].events & EPOLLIN) != 0;
+      ev.writable = (raw[i].events & EPOLLOUT) != 0;
+      ev.hangup = (raw[i].events & (EPOLLHUP | EPOLLERR)) != 0;
+      events_.push_back(ev);
     }
     return events_;
   }
 
  private:
-  int epfd_ = -1;
-  std::unordered_map<int, short> interest_;
+  int epfd_;
+  std::unordered_set<int> registered_;  ///< fds added to epfd_: ADD vs MOD
   std::vector<Event> events_;
-  std::vector<pollfd> pollfds_;
 };
 
 // -- reactor-owned per-connection / per-request state -----------------------
@@ -201,7 +153,7 @@ struct NetServer::Pending {
 NetServer::NetServer(serve::ScoringService& service, NetServerConfig config)
     : service_(service),
       config_(config),
-      poller_(std::make_unique<Poller>(config.force_poll)) {
+      poller_(std::make_unique<Poller>()) {
   if (::pipe(wake_fds_) != 0) throw std::runtime_error(errno_text("NetServer: pipe()"));
   set_nonblocking(wake_fds_[0]);
   set_nonblocking(wake_fds_[1]);

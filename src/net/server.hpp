@@ -1,8 +1,7 @@
 // NetServer: the socket front-end of serve::ScoringService.
 //
-// One reactor thread multiplexes every connection with non-blocking I/O —
-// epoll on Linux, poll() as the portable fallback (also selectable at
-// runtime for test coverage via NetServerConfig::force_poll). The reactor
+// One reactor thread multiplexes every connection with non-blocking I/O
+// over epoll (src/net is Linux-only: it also relies on MSG_NOSIGNAL). The reactor
 // NEVER blocks on the scoring plane: submissions go through try_submit(),
 // and completions flow back through ScoreTicket's completion hook, which
 // hands the reactor a key over a self-wake pipe. Scoring threads never
@@ -54,9 +53,6 @@ struct NetServerConfig {
   /// Per-connection outbound buffer ceiling. Above it the reactor stops
   /// reading that connection until the buffer drains below half.
   std::size_t write_buffer_limit = 256 * 1024;
-  /// Use the poll() reactor even where epoll is available (test knob —
-  /// both reactors must pass the same suite).
-  bool force_poll = false;
   /// When false, kScore frames from UNTRUSTED listeners (see
   /// add_listener) are refused with an in-protocol kUnsupported error:
   /// untrusted endpoints get the decision-only kVerdict channel, never

@@ -6,14 +6,6 @@
 
 namespace shmd::runtime {
 
-Slice worker_slice(std::size_t n_items, std::size_t worker, std::size_t n_workers) noexcept {
-  if (n_workers == 0 || worker >= n_workers) return {};
-  const std::size_t base = n_items / n_workers;
-  const std::size_t extra = n_items % n_workers;
-  const std::size_t begin = worker * base + std::min(worker, extra);
-  return {begin, begin + base + (worker < extra ? 1 : 0)};
-}
-
 std::size_t resolve_workers(std::size_t requested) noexcept {
   if (requested != 0) return requested;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());

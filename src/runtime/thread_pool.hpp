@@ -1,13 +1,8 @@
-// Persistent worker pool for the batch inference runtime.
+// Persistent fork/join worker pool (shmd-lint's file fan-out).
 //
-// Deliberately minimal: the runtime's unit of work is "worker w processes
-// its fixed slice of the batch", so the pool only needs one fork/join
-// primitive — run a callable on every worker and wait for all of them.
-// Static slicing (rather than a shared work queue) is what makes batch
-// scoring reproducible: each worker owns a deterministic set of items and
-// a private RNG stream, so the same seed and worker count always produce
-// bit-identical scores. Chunks are balanced to within one item, and the
-// detectors' per-item cost is near-uniform, so stealing would buy little.
+// Deliberately minimal: one primitive — run a callable on every worker and
+// wait for all of them. Scoring does not run here: serve::ScoringService
+// owns its resident workers.
 #pragma once
 
 #include <cstddef>
@@ -22,22 +17,10 @@
 
 namespace shmd::runtime {
 
-/// Contiguous range of batch items owned by one worker.
-struct Slice {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Balanced static partition: worker `worker` of `n_workers` owns a
-/// contiguous slice of `n_items`, the first `n_items % n_workers` workers
-/// taking one extra item. The slices tile [0, n_items) exactly.
-[[nodiscard]] Slice worker_slice(std::size_t n_items, std::size_t worker,
-                                 std::size_t n_workers) noexcept;
-
 /// Resolve a requested worker count: 0 means "all cores"
 /// (std::thread::hardware_concurrency, floored at 1). Shared by every
-/// pool-owning component (ThreadPool, BatchScorer, serve::ScoringService)
-/// so "0 = all cores" means the same thing everywhere.
+/// pool-owning component (ThreadPool, serve::ScoringService) so "0 = all
+/// cores" means the same thing everywhere.
 [[nodiscard]] std::size_t resolve_workers(std::size_t requested) noexcept;
 
 class ThreadPool {

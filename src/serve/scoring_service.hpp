@@ -1,28 +1,22 @@
 // ScoringService: the always-on scoring front-end of the repository.
 //
 // The paper's deployment (§I, §IX) is a dedicated undervolted core that
-// re-classifies every running program each detection round. The batch
-// runtime (runtime::BatchScorer) models one such round as a fork/join over
-// a frozen workload; this service models the *steady state* — a continuous
-// stream of scoring requests from monitors, benches, and (eventually)
-// network front-ends, flowing through a bounded ring into a resident
-// worker pool, while the stochastic boundary re-rolls underneath via
-// epoch swaps (epoch.hpp).
+// re-classifies every running program each detection round. This service
+// models that steady state: a continuous stream of scoring requests from
+// monitors, benches and network front-ends flows through a bounded ring
+// into a resident worker pool, while the stochastic boundary re-rolls
+// underneath via epoch swaps (epoch.hpp). A one-off round over a frozen
+// workload is score_all() / detect_all().
 //
-// Determinism contract — stronger than BatchScorer's. BatchScorer pins
-// worker w to a fixed slice and a jump()-derived stream, so (seed, worker
-// count) reproduces scores. Through an MPMC queue that scheme breaks:
-// which worker dequeues which request is a race, so any *worker*-anchored
-// stream makes scores depend on scheduling. The service therefore anchors
-// fault streams to the REQUEST: each accepted request gets a sequence
-// number, and the worker that scores it re-seeds its private injector
-// from splitmix(seed, seq) before the forward passes. Result: a fixed
-// seed reproduces bit-identical scores for the k-th accepted request
-// under ANY worker count and any scheduling — (seed, worker count)
-// reproducibility, as required, plus worker-count independence for free.
-// Workers still own a private FaultInjector and ForwardScratch each (no
-// sharing, no locks on the scoring path, zero steady-state allocation in
-// the forward pass).
+// Determinism contract. Which worker dequeues which request is a race, so
+// any worker-anchored fault stream would make scores depend on
+// scheduling. The service anchors fault streams to the REQUEST instead:
+// each accepted request gets a sequence number k, and the worker scores it
+// through hmd::ProgramScorer at (seed, k). A fixed seed therefore
+// reproduces bit-identical scores for the k-th accepted request under any
+// worker count, batch size and scheduling. Each worker owns a private
+// ProgramScorer (injector, scratch, tile): no sharing and no locks on the
+// scoring path, and no allocation in the forward pass once warm.
 //
 // Overload discipline: the ring is bounded; try_submit() sheds with
 // kShed instead of queueing unboundedly (a request flood must not be able
@@ -52,8 +46,7 @@
 
 #include "admit/policy.hpp"
 #include "admit/wait_predictor.hpp"
-#include "faultsim/fault_injector.hpp"
-#include "nn/network.hpp"
+#include "hmd/program_scorer.hpp"
 #include "serve/epoch.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service_stats.hpp"
@@ -69,24 +62,18 @@ struct ServeConfig {
   std::size_t queue_capacity = 1024;
   /// Base seed for the per-request fault streams.
   std::uint64_t seed = 0x5E7F1CEULL;
-  /// Upper bound on how many queued requests one worker drains and scores
-  /// per queue round-trip (cross-request batching: one lock acquisition,
-  /// one epoch load, one injector reconfiguration per tile). Batching
-  /// never delays a lone request — a batch pop returns with whatever is
-  /// queued — and never changes scores: per-request fault streams are
-  /// re-anchored at request boundaries within the tile, so results are
-  /// bit-identical for any max_batch. Must be >= 1.
+  /// Upper bound on how many queued requests one worker drains per queue
+  /// round-trip (one lock acquisition, one epoch load, one injector
+  /// reconfiguration per batch). Batching never delays a lone request — a
+  /// batch pop returns with whatever is queued — and never changes scores:
+  /// each request is scored under its own (seed, seq) stream, so results
+  /// are bit-identical for any max_batch. Must be >= 1.
   std::size_t max_batch = 16;
   /// Overload policy installed on the queue (see admit::AdmissionPolicy).
-  /// Every policy preserves the determinism contract.
+  /// Every policy preserves the determinism contract. try_submit with a
+  /// deadline always rejects on arrival when the WaitPredictor's estimated
+  /// queue wait already exceeds the deadline budget.
   admit::PolicyKind admission_policy = admit::PolicyKind::kFifo;
-  /// When true, try_submit with a deadline returns kRejected if the
-  /// WaitPredictor's estimated queue wait already exceeds the deadline
-  /// budget (reject-on-arrival). Requests without a deadline are never
-  /// rejected this way.
-  bool reject_on_arrival = true;
-  /// EWMA smoothing factor for the per-request service-time estimate.
-  double ewma_alpha = 0.1;
 };
 
 /// Terminal disposition of an accepted request.
@@ -248,10 +235,9 @@ class ScoringService {
   SubmitStatus try_submit(const trace::FeatureSet& features, ScoreTicket& ticket,
                           std::optional<ServiceClock::time_point> deadline = std::nullopt);
 
-  /// Closed-loop convenience: submit every item, wait for all, return
-  /// per-item window scores (the queue-path analogue of
-  /// BatchScorer::score_batch). Throws std::runtime_error if the service
-  /// is closed.
+  /// Closed-loop convenience — one detection round over a frozen batch:
+  /// submit every item, wait for all, return per-item window scores.
+  /// Throws std::runtime_error if the service is closed.
   [[nodiscard]] std::vector<std::vector<double>> score_all(
       std::span<const trace::FeatureSet* const> batch);
   /// Same, but per-item verdicts under the scoring epoch's threshold.
@@ -286,11 +272,11 @@ class ScoringService {
 
  private:
   struct Worker {
-    faultsim::FaultInjector injector;
-    nn::ForwardScratch scratch;
-    /// Epoch id the injector was last configured for: reconfiguration
-    /// (error rate + alias-table copy) happens per epoch *change*, not
-    /// per request. 0 matches no epoch (install_epoch stamps from 1).
+    hmd::ProgramScorer scorer;
+    /// Epoch id the scorer's injector was last configured for:
+    /// reconfiguration (error rate + alias-table copy) happens per epoch
+    /// *change*, not per request. 0 matches no epoch (install_epoch stamps
+    /// from 1).
     std::uint64_t configured_epoch = 0;
   };
 

@@ -9,9 +9,9 @@
 //   nn/                  networks, trainers, classifiers, FANN interchange
 //   eval/                metrics, ROC, dataset adapters and CSV interchange
 //   hmd/                 the detectors: baseline, Stochastic-HMD, RHMD,
-//                        Ensemble-HMD, alarms, space exploration, bundles
-//   runtime/             batched multi-threaded inference over the
-//                        detectors (thread pool, per-worker RNG streams)
+//                        Ensemble-HMD, alarms, space exploration, bundles,
+//                        and ProgramScorer, the one live scoring path
+//   runtime/             the fork/join thread pool and worker-count rule
 //   serve/               the always-on scoring service: bounded request
 //                        queue, resident workers, epoch-swap moving target
 //   attack/              the black-box evasion pipeline and white-box probe
@@ -41,6 +41,7 @@
 #include "hmd/deployment.hpp"
 #include "hmd/detector.hpp"
 #include "hmd/ensemble_hmd.hpp"
+#include "hmd/program_scorer.hpp"
 #include "hmd/rhmd.hpp"
 #include "hmd/space_exploration.hpp"
 #include "hmd/stochastic_hmd.hpp"
@@ -66,7 +67,6 @@
 #include "rng/splitmix64.hpp"
 #include "rng/trng_sim.hpp"
 #include "rng/xoshiro256ss.hpp"
-#include "runtime/batch_scorer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/epoch.hpp"
 #include "serve/request_queue.hpp"

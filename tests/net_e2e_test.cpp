@@ -181,27 +181,6 @@ TEST(NetE2E, PipelinedSubmissionPreservesAdmissionOrderDeterminism) {
   server.stop();
 }
 
-TEST(NetE2E, PollFallbackServesIdentically) {
-  // Same contract through the poll() reactor (force_poll exercises the
-  // portable backend on Linux too).
-  const Workload w = make_workload(8);
-  const serve::ServeConfig config{.num_workers = 2};
-  const std::vector<std::vector<double>> reference = in_process_scores(w, config);
-
-  serve::ScoringService service(test_epoch(0.05), config);
-  NetServer server(service, NetServerConfig{.force_poll = true});
-  const util::Endpoint ep = server.add_listener(util::parse_endpoint("localhost:0"));
-  server.start();
-  NetClient client;
-  client.connect(ep);
-  for (std::size_t i = 0; i < w.requests.size(); ++i) {
-    const Reply reply = client.score(w.requests[i]);
-    ASSERT_TRUE(reply.result.has_value());
-    EXPECT_EQ(reply.result->scores, reference[i]);
-  }
-  server.stop();
-}
-
 TEST(NetE2E, VerdictRepliesCarryExactlyTheScoreDecisions) {
   // The decision-only channel must answer with precisely the decisions a
   // kScore reply implies (score >= epoch threshold), same verdict, same

@@ -2,8 +2,10 @@
 // whole parameter ranges, not just hand-picked points.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "faultsim/fault_injector.hpp"
@@ -112,15 +114,22 @@ INSTANTIATE_TEST_SUITE_P(Devices, DeviceProperty,
 
 // ------------------------------------------------ feature-extraction bounds
 
+// gtest names each case after the bytes of its parameter. Implicit
+// padding would put indeterminate bytes into those names, so the padding
+// is an explicit, zeroed member and the case names stay stable.
 struct FeatureCase {
+  FeatureCase(trace::Family f, std::size_t p) noexcept : family(f), period(p) {}
   trace::Family family;
+  std::array<std::uint8_t, 7> padding{};
   std::size_t period;
 };
+static_assert(sizeof(FeatureCase) == 16);
 
 class FeatureProperty : public ::testing::TestWithParam<FeatureCase> {};
 
 TEST_P(FeatureProperty, AllViewsBoundedAndNormalized) {
-  const auto [family, period] = GetParam();
+  const trace::Family family = GetParam().family;
+  const std::size_t period = GetParam().period;
   const trace::Program program(0, family, 0xFEA7ULL + static_cast<std::uint64_t>(period));
   const auto trace_data = program.generate(4 * period);
   for (std::size_t v = 0; v < trace::kNumViews; ++v) {

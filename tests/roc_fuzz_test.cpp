@@ -113,7 +113,13 @@ TEST(Roc, StochasticNoiseCostsRankingQualityGracefully) {
 
   const double clean = auc_at(0.0);
   const double mild = auc_at(0.1);
-  const double extreme = auc_at(1.0);
+  // At er = 1 one round's AUC is nearly all fault noise (it spans about
+  // 0.4-0.7 across noise seeds on this fold), so the chance-level check
+  // applies to the mean over rounds, each drawing fresh faults.
+  constexpr int kExtremeRounds = 8;
+  double extreme = 0.0;
+  for (int round = 0; round < kExtremeRounds; ++round) extreme += auc_at(1.0);
+  extreme /= kExtremeRounds;
   EXPECT_GT(clean, 0.9);
   EXPECT_GT(mild, clean - 0.06);
   EXPECT_LT(extreme, clean);

@@ -14,12 +14,15 @@
 #include <thread>
 #include <vector>
 
+#include "hmd/builders.hpp"
 #include "hmd/deployment.hpp"
 #include "hmd/detector.hpp"
+#include "hmd/program_scorer.hpp"
 #include "hmd/stochastic_hmd.hpp"
 #include "nn/network.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "serve/scoring_service.hpp"
+#include "support/test_corpus.hpp"
 
 namespace shmd::serve {
 namespace {
@@ -561,6 +564,136 @@ TEST(ServeService, VerdictMatchesFractionVoteOverScores) {
     EXPECT_EQ(verdicts[i], hmd::fraction_vote(scores[i], 0.5,
                                               hmd::Detector::kDefaultVoteFraction))
         << i;
+  }
+}
+
+// ------------------------------------------------------------ BatchScorer
+//
+// One detection round over a trained detector's testing fold, scored as a
+// batch through score_all / detect_all: the batch-scoring contract on a
+// real network rather than the synthetic one above.
+
+/// Shared trained detector + a batch of testing-fold feature sets.
+struct BatchFixture {
+  const trace::Dataset& ds = test::small_dataset();
+  trace::FoldSplit folds = ds.folds(0);
+  trace::FeatureConfig fc{trace::FeatureView::kInsnCategory, ds.config().periods[0]};
+  hmd::BaselineHmd baseline;
+  std::vector<const trace::FeatureSet*> batch;
+
+  BatchFixture()
+      : baseline([&] {
+          hmd::HmdTrainOptions opt;
+          opt.train.epochs = 60;
+          return hmd::make_baseline(ds, folds.victim_training, fc, opt);
+        }()) {
+    for (std::size_t idx : folds.testing) {
+      batch.push_back(&ds.samples()[idx].features);
+      if (batch.size() >= 24) break;
+    }
+  }
+
+  static const BatchFixture& instance() {
+    static const BatchFixture f;
+    return f;
+  }
+};
+
+faultsim::FaultStats all_epoch_faults(const ServiceStatsSnapshot& snap) {
+  faultsim::FaultStats total = snap.folded_faults;
+  for (const auto& [id, faults] : snap.per_epoch_faults) total.merge(faults);
+  return total;
+}
+
+TEST(BatchScorer, SameSeedAndWorkerCountIsBitIdentical) {
+  const auto& fx = BatchFixture::instance();
+  const hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.3);
+  ServeConfig config;
+  config.num_workers = 4;
+  config.seed = 99;
+  ScoringService first(make_epoch(det), config);
+  ScoringService second(make_epoch(det), config);
+  const auto scores_a = first.score_all(fx.batch);
+  EXPECT_EQ(second.score_all(fx.batch), scores_a);
+  // Consecutive batches draw fresh fault noise from the same seed — the
+  // moving-target property survives batching.
+  EXPECT_NE(first.score_all(fx.batch), scores_a);
+}
+
+TEST(BatchScorer, ZeroErrorRateMatchesNominalScores) {
+  const auto& fx = BatchFixture::instance();
+  const hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.0);
+  ServeConfig config;
+  config.num_workers = 3;
+  ScoringService service(make_epoch(det), config);
+  const auto scores = service.score_all(fx.batch);
+  ASSERT_EQ(scores.size(), fx.batch.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(scores[i], det.window_scores_nominal(*fx.batch[i])) << i;
+  }
+}
+
+TEST(BatchScorer, TracksDetectorErrorRateAcrossSweeps) {
+  // Space-exploration usage: set_error_rate() between batches, published
+  // with install_epoch(), must take effect without rebuilding the service.
+  const auto& fx = BatchFixture::instance();
+  hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.0);
+  ServeConfig config;
+  config.num_workers = 2;
+  ScoringService service(make_epoch(det), config);
+  (void)service.score_all(fx.batch);
+  EXPECT_EQ(all_epoch_faults(service.stats()).faults, 0u);
+  det.set_error_rate(0.5);
+  (void)service.install_epoch(make_epoch(det));
+  (void)service.score_all(fx.batch);
+  const faultsim::FaultStats stats = all_epoch_faults(service.stats());
+  EXPECT_GT(stats.faults, 0u);
+  // Half the operations came from the er=0 batch, so the pooled rate sits
+  // near 0.25.
+  EXPECT_NEAR(stats.fault_rate(), 0.25, 0.05);
+}
+
+TEST(BatchScorer, MergedStatsEqualSumOfWorkerStats) {
+  const auto& fx = BatchFixture::instance();
+  const hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.5);
+  ServeConfig config;
+  config.num_workers = 3;
+  config.seed = 21;
+  ScoringService service(make_epoch(det), config);
+  (void)service.score_all(fx.batch);
+  const faultsim::FaultStats merged = all_epoch_faults(service.stats());
+
+  // Each request's fault delta is a pure function of (seed, seq), so the
+  // workers' merged stats must equal the sum of the per-request deltas
+  // replayed on one scorer, whichever worker scored each request.
+  hmd::ProgramScorer scorer(0.5, det.fault_distribution(), config.seed);
+  faultsim::FaultStats manual;
+  std::vector<double> scores;
+  std::size_t windows = 0;
+  for (std::size_t k = 0; k < fx.batch.size(); ++k) {
+    (void)scorer.score(det.network(), fx.batch[k]->windows(fx.fc), k, scores);
+    manual.merge(scorer.injector().stats());
+    windows += fx.batch[k]->windows(fx.fc).size();
+  }
+  EXPECT_EQ(merged, manual);
+  // Every window of every batch item passed through exactly one worker:
+  // total operations = windows x MACs-per-inference.
+  EXPECT_EQ(merged.operations, windows * det.network().mac_count());
+}
+
+TEST(BatchScorer, DetectBatchMatchesFractionVoteOverScores) {
+  const auto& fx = BatchFixture::instance();
+  const hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.1);
+  ServeConfig config;
+  config.num_workers = 2;
+  config.seed = 7;
+  ScoringService scoring(make_epoch(det), config);
+  ScoringService detecting(make_epoch(det), config);  // same seed: same scores
+  const auto scores = scoring.score_all(fx.batch);
+  const auto verdicts = detecting.detect_all(fx.batch);
+  ASSERT_EQ(verdicts.size(), scores.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(verdicts[i], hmd::fraction_vote(scores[i], 0.5, 0.5)) << i;
   }
 }
 

@@ -379,7 +379,7 @@ class RngDisciplineRule final : public Rule {
   [[nodiscard]] std::string_view suppression_tag() const noexcept override { return "rng-ok"; }
   [[nodiscard]] std::string_view rationale() const noexcept override {
     return "ad-hoc randomness (std::rand, std::random_device) breaks run-to-run determinism "
-           "and the per-worker jump()-derived streams; use the rng/ RandomSource hierarchy";
+           "and the (seed, seq)-derived fault streams; use the rng/ RandomSource hierarchy";
   }
 
   [[nodiscard]] bool applies(const SourceFile& f) const override {
